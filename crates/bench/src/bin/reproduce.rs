@@ -127,13 +127,50 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use sprout_bench::cli;
+use sprout_bench::experiments::{self, ALL, EXPERIMENTS};
 use sprout_bench::figures::{self, ExperimentConfig};
-use sprout_bench::{perf, summary_table, CellCachePolicy, Scheme, ShardSpec};
+use sprout_bench::{cli, perf, CellCachePolicy, ShardSpec};
 
-const USAGE: &str = "usage: reproduce <experiment> [--secs N] [--warmup N] [--seed N] [--out DIR] [--threads N] [--batch on|off] [--quick] [--json] [--cache-dir DIR] [--no-cache] [--cell-timeout SECS] [--shard I/N] [--merge] [--resume] [--controlled] [--bench] [--bench-baseline FILE] [--links LIST] [--prop-delays LIST] [--queues LIST] [--flows N] [--contend LIST] [--impairments LIST] [--sessions LIST] [--trace FILE]... [--schemes LIST] [--timeseries]
-experiments: fig1 fig2 fig7 fig8 fig9 loss tunnel contention soak impair serve replay all (contention, soak, impair, serve, and replay are not part of all)
-axis flags: --links vz-lte-down,... (soak+contention+impair+serve) | --prop-delays 10,25,... (one-way ms, soak) | --queues auto|droptail|codel|bytes:N,... (soak) | --flows N (contention) | --contend sprout,cubic,... (contention) | --impairments none,burst,storm,... (impair) | --sessions 1,64,1024,... (serve) | --trace capture.trace, once per capture (replay) | --schemes sprout,cubic,... (replay) | --timeseries (replay+impair+soak)";
+const USAGE_FLAGS: &str = "usage: reproduce <experiment> [--secs N] [--warmup N] [--seed N] [--out DIR] [--threads N] [--batch on|off] [--quick] [--json] [--cache-dir DIR] [--no-cache] [--cell-timeout SECS] [--shard I/N] [--merge] [--resume] [--controlled] [--bench] [--bench-baseline FILE] [--links LIST] [--prop-delays LIST] [--queues LIST] [--flows N] [--contend LIST] [--impairments LIST] [--sessions LIST] [--trace FILE]... [--schemes LIST] [--timeseries]";
+/// Each experiment-specific flag with an example value; the usage text
+/// names the experiments that accept it from the registry.
+const AXIS_EXAMPLES: &[(&str, &str)] = &[
+    ("--links", " vz-lte-down,..."),
+    ("--prop-delays", " 10,25,... one-way ms"),
+    ("--queues", " auto|droptail|codel|bytes:N,..."),
+    ("--flows", " N"),
+    ("--contend", " sprout,cubic,..."),
+    ("--impairments", " none,burst,storm,..."),
+    ("--sessions", " 1,64,1024,..."),
+    ("--trace", " capture.trace, once per capture"),
+    ("--schemes", " sprout,cubic,..."),
+    ("--timeseries", ""),
+];
+
+/// The usage text, with the experiment list and each axis flag's
+/// experiments taken from the registry.
+fn usage() -> String {
+    let names = |in_all_only: bool| -> Vec<&str> {
+        EXPERIMENTS
+            .iter()
+            .filter(|e| e.in_all || !in_all_only)
+            .map(|e| e.name)
+            .collect()
+    };
+    let axes: Vec<String> = AXIS_EXAMPLES
+        .iter()
+        .map(|(flag, example)| {
+            let owners = experiments::owners(flag).join("+");
+            format!("{flag}{example} ({owners})")
+        })
+        .collect();
+    format!(
+        "{USAGE_FLAGS}\nexperiments: {} {ALL} (= {})\naxis flags: {}",
+        names(false).join(" "),
+        names(true).join(" "),
+        axes.join(" | ")
+    )
+}
 
 struct Options {
     cmd: String,
@@ -146,7 +183,7 @@ struct Options {
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("reproduce: {msg}");
-    eprintln!("{USAGE}");
+    eprintln!("{}", usage());
     std::process::exit(2);
 }
 
@@ -210,14 +247,14 @@ fn parse_args() -> Options {
             "--resume" => resume = true,
             "--controlled" => controlled = true,
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 std::process::exit(0);
             }
             other if other.starts_with('-') => {
                 usage_error(&format!("unknown flag {other:?}"));
             }
             other if cmd.is_none() => {
-                if !cli::is_experiment(other) {
+                if experiments::select(other).is_none() {
                     usage_error(&format!("unknown experiment {other:?}"));
                 }
                 cmd = Some(other.to_string());
@@ -226,7 +263,7 @@ fn parse_args() -> Options {
         }
     }
     let explicit_cmd = cmd.is_some();
-    let cmd = cmd.unwrap_or_else(|| "all".to_string());
+    let cmd = cmd.unwrap_or_else(|| ALL.to_string());
     if let Err(msg) = cli::apply_worker_args(&mut cfg, &cmd, &worker_args) {
         usage_error(&msg);
     }
@@ -295,87 +332,11 @@ fn start_heartbeat() {
 }
 
 fn print_json_artifacts(cfg: &ExperimentConfig, cmd: &str) -> std::io::Result<()> {
-    for name in cli::artifacts_of(cmd) {
-        let path = cfg.sweep_json_path(name);
+    for matrix in experiments::matrices(cfg, cmd) {
+        let path = cfg.sweep_json_path(matrix.name());
         print!("{}", std::fs::read_to_string(path)?);
     }
     Ok(())
-}
-
-fn print_fig7_and_tables(cfg: &ExperimentConfig) -> std::io::Result<sprout_bench::Fig7Results> {
-    let t0 = Instant::now();
-    let results = figures::fig7(cfg)?;
-    println!(
-        "\n== Figure 7: throughput vs self-inflicted delay ({:.0?}) ==",
-        t0.elapsed()
-    );
-    for link in sprout_trace::NetProfile::all() {
-        println!("\n--- {} ---", link.name());
-        for scheme in figures::fig7_schemes() {
-            if let Some(r) = results.get(link, scheme) {
-                println!("  {}", figures::fmt_result(scheme.name(), r));
-            }
-        }
-    }
-
-    // Intro table 1: vs Sprout.
-    let t1_rows = summary_table(
-        &results,
-        Scheme::Sprout,
-        &[
-            Scheme::Skype,
-            Scheme::Hangout,
-            Scheme::Facetime,
-            Scheme::Compound,
-            Scheme::Vegas,
-            Scheme::Ledbat,
-            Scheme::Cubic,
-            Scheme::CubicCodel,
-        ],
-    );
-    println!("\n== Intro table 1 (reference: Sprout; paper values in brackets) ==");
-    let paper: &[(&str, &str, &str)] = &[
-        ("Skype", "2.2x", "7.9x (2.52s)"),
-        ("Google Hangout", "4.4x", "7.2x (2.28s)"),
-        ("Facetime", "1.9x", "8.7x (2.75s)"),
-        ("Compound TCP", "1.3x", "4.8x (1.53s)"),
-        ("Vegas", "1.1x", "2.1x (0.67s)"),
-        ("LEDBAT", "1.0x", "2.8x (0.89s)"),
-        ("Cubic", "0.91x", "79x (25s)"),
-        ("Cubic-CoDel", "0.70x", "1.6x (0.50s)"),
-    ];
-    for (row, (pn, ps, pd)) in t1_rows.iter().zip(paper) {
-        assert_eq!(row.scheme.name(), *pn, "paper row order");
-        println!(
-            "  {:16} speedup {:>5.2}x [paper {:>5}]   delay {:>6.1}x ({:.2}s) [paper {}]",
-            row.scheme.name(),
-            row.avg_speedup,
-            ps,
-            row.delay_reduction,
-            row.avg_delay_s,
-            pd
-        );
-    }
-    figures::write_summary(cfg, "table1_summary.tsv", &t1_rows)?;
-
-    // Intro table 2: vs Sprout-EWMA.
-    let t2_rows = summary_table(
-        &results,
-        Scheme::SproutEwma,
-        &[Scheme::Sprout, Scheme::Cubic, Scheme::CubicCodel],
-    );
-    println!("\n== Intro table 2 (reference: Sprout-EWMA) ==");
-    for row in &t2_rows {
-        println!(
-            "  {:16} speedup {:>6.2}x  delay reduction {:>6.2}x (avg {:.2}s)",
-            row.scheme.name(),
-            row.avg_speedup,
-            row.delay_reduction,
-            row.avg_delay_s
-        );
-    }
-    figures::write_summary(cfg, "table2_ewma.tsv", &t2_rows)?;
-    Ok(results)
 }
 
 /// `--bench`: run the canonical bench matrix plus microbenchmarks,
@@ -470,7 +431,7 @@ present in {source} ({} missing in total) — BENCH_sweep.json is additive-only"
 /// `--merge` (or `--resume`) run assembles those from the cache.
 fn run_shard(cfg: &ExperimentConfig, cmd: &str) -> std::io::Result<()> {
     let engine = cfg.engine();
-    for matrix in figures::matrices_for(cfg, cmd) {
+    for matrix in experiments::matrices(cfg, cmd) {
         let t0 = Instant::now();
         let results = engine
             .try_run(&matrix)
@@ -571,271 +532,18 @@ fn run() -> std::io::Result<()> {
         cfg.out_dir
     );
 
-    match cmd.as_str() {
-        "fig1" => {
-            let r = figures::fig1(&cfg)?;
-            println!(
-                "fig1: {} bins written to fig1_timeseries.tsv",
-                r.throughput_rows.len()
-            );
-            let avg =
-                |sel: fn(&(f64, f64, f64, f64)) -> f64, rows: &[(f64, f64, f64, f64)]| -> f64 {
-                    rows.iter().map(sel).sum::<f64>() / rows.len().max(1) as f64
-                };
-            println!(
-                "  mean capacity {:.0} kbps | skype {:.0} kbps | sprout {:.0} kbps",
-                avg(|r| r.1, &r.throughput_rows),
-                avg(|r| r.2, &r.throughput_rows),
-                avg(|r| r.3, &r.throughput_rows),
-            );
+    // `all` runs its members in turn and attributes each one's cell-cache
+    // traffic to it, ahead of the `[all]` total.
+    let t0 = Instant::now();
+    let mut mark = traffic_now();
+    for experiment in experiments::select(&cmd).expect("validated in parse_args") {
+        (experiment.run)(&cfg)?;
+        if cmd == ALL {
+            mark = print_cell_cache_delta(experiment.name, mark);
         }
-        "fig2" => {
-            let r = figures::fig2(&cfg)?;
-            println!(
-                "fig2: {} interarrivals; {:.3}% within 20 ms [paper: 99.99%]; tail slope {:?} [paper: -3.27]",
-                r.samples,
-                r.fraction_within_20ms * 100.0,
-                r.tail_slope
-            );
-        }
-        "fig7" => {
-            print_fig7_and_tables(&cfg)?;
-        }
-        "fig8" => {
-            let results = print_fig7_and_tables(&cfg)?;
-            let rows = figures::fig8(&cfg, &results)?;
-            println!("\n== Figure 8: average utilization vs delay ==");
-            for r in rows {
-                println!(
-                    "  {:12} {:>5.1}% utilization at {:>7.0} ms self-inflicted delay",
-                    r.scheme.name(),
-                    r.avg_utilization_pct,
-                    r.avg_delay_ms
-                );
-            }
-        }
-        "fig9" => {
-            let rows = figures::fig9(&cfg)?;
-            println!("\n== Figure 9: confidence sweep (T-Mobile 3G uplink) ==");
-            for r in rows {
-                println!(
-                    "  {:>3.0}% confidence: {:>6.0} kbps at {:>6.0} ms",
-                    r.confidence, r.result.throughput_kbps, r.result.self_inflicted_ms
-                );
-            }
-        }
-        "loss" => {
-            let rows = figures::loss_table(&cfg)?;
-            println!("\n== s5.6 loss resilience (Sprout) ==");
-            println!("  paper (downlink): 0% 4741kbps/73ms, 5% 3971/60, 10% 2768/58");
-            println!("  paper (uplink):   0% 3703kbps/332ms, 5% 2598/378, 10% 1163/314");
-            for r in rows {
-                println!(
-                    "  {:12} {:>3.0}% loss: {:>6.0} kbps at {:>6.0} ms",
-                    r.link.id(),
-                    r.loss_rate * 100.0,
-                    r.result.throughput_kbps,
-                    r.result.self_inflicted_ms
-                );
-            }
-        }
-        "tunnel" => {
-            let r = figures::tunnel_comparison(&cfg)?;
-            println!("\n== s5.7 SproutTunnel isolation (Verizon LTE downlink) ==");
-            println!("  paper: cubic 8336->3776 kbps (-55%), skype 78->490 kbps (+528%), skype delay 6.0->0.17 s (-97%)");
-            println!(
-                "  cubic throughput {:>7.0} -> {:>7.0} kbps ({:+.0}%)",
-                r.cubic_direct_kbps,
-                r.cubic_tunnel_kbps,
-                100.0 * (r.cubic_tunnel_kbps / r.cubic_direct_kbps - 1.0)
-            );
-            println!(
-                "  skype throughput {:>7.0} -> {:>7.0} kbps ({:+.0}%)",
-                r.skype_direct_kbps,
-                r.skype_tunnel_kbps,
-                100.0 * (r.skype_tunnel_kbps / r.skype_direct_kbps - 1.0)
-            );
-            println!(
-                "  skype 95% delay  {:>7.2} -> {:>7.2} s ({:+.0}%)",
-                r.skype_direct_delay_s,
-                r.skype_tunnel_delay_s,
-                100.0 * (r.skype_tunnel_delay_s / r.skype_direct_delay_s - 1.0)
-            );
-        }
-        "contention" => {
-            let t0 = Instant::now();
-            let rows = figures::contention(&cfg)?;
-            println!(
-                "\n== contention: {} cells, per-flow shares of one bottleneck queue ({:.0?}) ==",
-                rows.len(),
-                t0.elapsed()
-            );
-            for r in rows {
-                println!(
-                    "  {} (util {:.2}, Jain {:.3})",
-                    r.label, r.utilization, r.fairness
-                );
-                for (spec, flow) in &r.flows {
-                    println!(
-                        "    flow {} {:20} {:>8.0} kbps  p95 {:>9.0} ms",
-                        flow.flow, spec, flow.throughput_kbps, flow.p95_delay_ms
-                    );
-                }
-            }
-        }
-        "soak" => {
-            let t0 = Instant::now();
-            let matrix_len = figures::soak_matrix(&cfg).len();
-            println!(
-                "soak: {matrix_len} cells ({} links x {} delays x {} queues; kill/resume with --resume, farm out with --shard I/N)",
-                cfg.soak.links.len(),
-                cfg.soak.prop_delays_ms.len(),
-                cfg.soak.queues.len()
-            );
-            let rows = figures::soak(&cfg)?;
-            println!(
-                "\n== soak: per-workload means over {matrix_len} cells ({:.0?}) ==",
-                t0.elapsed()
-            );
-            for r in rows {
-                println!(
-                    "  {:24} {:>4} cells  {:>7.0} kbps  self-inflicted {:>8.0} ms",
-                    r.workload, r.cells, r.mean_throughput_kbps, r.mean_self_inflicted_ms
-                );
-            }
-        }
-        "impair" => {
-            let t0 = Instant::now();
-            let rows = figures::impair(&cfg)?;
-            println!(
-                "\n== impair: graceful degradation under injected faults ({} schemes x {} links x {} presets, {:.0?}) ==",
-                figures::IMPAIR_SCHEMES.len(),
-                cfg.impair.links.len(),
-                cfg.impair.impairments.len(),
-                t0.elapsed()
-            );
-            for r in rows {
-                let fmt_or_na = |v: f64, unit: &str| {
-                    if v.is_finite() {
-                        format!("{v:.0}{unit}")
-                    } else {
-                        "n/a".to_string()
-                    }
-                };
-                println!(
-                    "  {:44} {:>7.0} kbps  p95 {:>7.0} ms  outages {:>2}  recovery {:>8}  degraded-delivery {:>5}",
-                    r.label,
-                    r.result.throughput_kbps,
-                    r.result.p95_delay_ms,
-                    r.result.outages,
-                    fmt_or_na(r.result.recovery_ms, " ms"),
-                    if r.result.degraded_delivery.is_finite() {
-                        format!("{:.2}", r.result.degraded_delivery)
-                    } else {
-                        "n/a".to_string()
-                    }
-                );
-            }
-        }
-        "serve" => {
-            let t0 = Instant::now();
-            let rows = figures::serve(&cfg)?;
-            println!(
-                "\n== serve: multi-session server capacity ({} session counts x {} links, {:.0?}) ==",
-                cfg.serve.sessions.len(),
-                cfg.serve.links.len(),
-                t0.elapsed()
-            );
-            for r in rows {
-                println!(
-                    "  {:28} {:>5} sessions  {:>12} bytes delivered  per-session {:>9}..{:>9}  Jain {:.4}",
-                    r.label,
-                    r.sessions,
-                    r.delivered_bytes,
-                    r.min_session_bytes,
-                    r.max_session_bytes,
-                    r.fairness
-                );
-            }
-        }
-        "replay" => {
-            let t0 = Instant::now();
-            let rows = figures::replay(&cfg)?;
-            println!(
-                "\n== replay: schemes over measured captures ({} schemes x {} captures, {:.0?}) ==",
-                cfg.replay.schemes.len(),
-                cfg.replay.traces.len(),
-                t0.elapsed()
-            );
-            for r in rows {
-                println!("  {}", figures::fmt_result(&r.label, &r.result));
-            }
-            if cfg.timeseries {
-                println!("per-cell time-series TSVs written next to replay_sweep.json");
-            }
-        }
-        "all" => {
-            let t0 = Instant::now();
-            let mut mark = traffic_now();
-            let r1 = figures::fig1(&cfg)?;
-            println!("fig1 done: {} bins", r1.throughput_rows.len());
-            mark = print_cell_cache_delta("fig1", mark);
-            let r2 = figures::fig2(&cfg)?;
-            println!(
-                "fig2 done: {:.3}% within 20 ms, tail slope {:?}",
-                r2.fraction_within_20ms * 100.0,
-                r2.tail_slope
-            );
-            mark = print_cell_cache_delta("fig2", mark);
-            let results = print_fig7_and_tables(&cfg)?;
-            mark = print_cell_cache_delta("fig7", mark);
-            // fig8 derives from the fig7 sweep: no cells of its own.
-            let rows = figures::fig8(&cfg, &results)?;
-            println!("\n== Figure 8 ==");
-            for r in rows {
-                println!(
-                    "  {:12} {:>5.1}% util at {:>7.0} ms",
-                    r.scheme.name(),
-                    r.avg_utilization_pct,
-                    r.avg_delay_ms
-                );
-            }
-            let rows = figures::fig9(&cfg)?;
-            println!("\n== Figure 9 ==");
-            for r in rows {
-                println!(
-                    "  {:>3.0}%: {:>6.0} kbps at {:>6.0} ms",
-                    r.confidence, r.result.throughput_kbps, r.result.self_inflicted_ms
-                );
-            }
-            mark = print_cell_cache_delta("fig9", mark);
-            let rows = figures::loss_table(&cfg)?;
-            println!("\n== s5.6 loss ==");
-            for r in rows {
-                println!(
-                    "  {:12} {:>3.0}%: {:>6.0} kbps at {:>6.0} ms",
-                    r.link.id(),
-                    r.loss_rate * 100.0,
-                    r.result.throughput_kbps,
-                    r.result.self_inflicted_ms
-                );
-            }
-            mark = print_cell_cache_delta("loss", mark);
-            let r = figures::tunnel_comparison(&cfg)?;
-            println!("\n== s5.7 tunnel ==");
-            println!(
-                "  cubic {:>6.0}->{:>6.0} kbps | skype {:>5.0}->{:>5.0} kbps | skype delay {:.2}->{:.2} s",
-                r.cubic_direct_kbps,
-                r.cubic_tunnel_kbps,
-                r.skype_direct_kbps,
-                r.skype_tunnel_kbps,
-                r.skype_direct_delay_s,
-                r.skype_tunnel_delay_s
-            );
-            let _ = print_cell_cache_delta("tunnel", mark);
-            println!("\nall experiments done in {:.0?}", t0.elapsed());
-        }
-        other => unreachable!("experiment {other:?} validated in parse_args"),
+    }
+    if cmd == ALL {
+        println!("\nall experiments done in {:.0?}", t0.elapsed());
     }
     print_cell_cache_line(&cmd);
     if json {

@@ -10,52 +10,11 @@
 //! contract cheap to state: a worker and the merge see byte-identical
 //! axis flags, so they build byte-identical scenario matrices.
 
+use crate::experiments;
 use crate::figures::ExperimentConfig;
 use crate::scenario::{FlowSpec, QueueSpec, MAX_CONTENTION_FLOWS, MAX_SERVE_SESSIONS};
 use crate::schemes::Scheme;
 use sprout_trace::{Impairment, NetProfile, IMPAIRMENT_PRESETS};
-
-/// Every experiment the harness can run, in help-text order.
-pub const EXPERIMENTS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig7",
-    "fig8",
-    "fig9",
-    "loss",
-    "tunnel",
-    "contention",
-    "soak",
-    "impair",
-    "serve",
-    "replay",
-    "all",
-];
-
-/// True when `name` is a runnable experiment.
-pub fn is_experiment(name: &str) -> bool {
-    EXPERIMENTS.contains(&name)
-}
-
-/// The sweep JSON artifacts each experiment records (basenames of the
-/// `<name>_sweep.json` files a full run writes).
-pub fn artifacts_of(cmd: &str) -> &'static [&'static str] {
-    match cmd {
-        "fig1" => &["fig1"],
-        "fig2" => &["fig2"],
-        "fig7" | "fig8" => &["fig7"],
-        "fig9" => &["fig9"],
-        "loss" => &["loss"],
-        "tunnel" => &["tunnel"],
-        "contention" => &["contention"],
-        "soak" => &["soak"],
-        "impair" => &["impair"],
-        "serve" => &["serve"],
-        "replay" => &["replay"],
-        "all" => &["fig1", "fig2", "fig7", "fig9", "loss", "tunnel"],
-        _ => &[],
-    }
-}
 
 /// Flags the control daemon reserves for itself when it assembles a
 /// worker command line. A submitted sweep naming one of these is
@@ -196,11 +155,11 @@ pub fn parse_sessions(spec: &str) -> Option<Vec<u32>> {
 }
 
 /// Apply the worker-safe flags in `args` to `cfg`, with the same
-/// validation matrix the `reproduce` binary enforces: axis flags must
-/// match `experiment`, `--quick` fills only what `--secs`/`--warmup`
-/// left unset, an explicit run length hands soak/serve/replay timing
-/// back to the global knobs, and the warmup must leave a non-empty
-/// measurement window. Returns a one-line usage message on the first
+/// validation matrix the `reproduce` binary enforces: axis flags must be
+/// ones `experiment`'s registry entry declares, `--quick` fills only
+/// what `--secs`/`--warmup` left unset, an explicit run length hands
+/// soak/serve/replay timing back to the global knobs, and the warmup
+/// must leave a non-empty measurement window. Returns a one-line usage message on the first
 /// violation. `--trace` registers each capture as it parses, so a
 /// malformed file is reported to its submitter here — before any worker
 /// is spawned.
@@ -213,20 +172,15 @@ pub fn apply_worker_args(
     experiment: &str,
     args: &[String],
 ) -> Result<(), String> {
-    if !is_experiment(experiment) {
+    let Some(selected) = experiments::select(experiment) else {
         return Err(format!("unknown experiment {experiment:?}"));
-    }
+    };
     let mut quick = false;
     let mut explicit_secs = false;
     let mut explicit_warmup = false;
-    let mut links_flag = false;
-    let mut soak_axis_flags = false;
-    let mut explicit_flows = false;
-    let mut explicit_contend = false;
-    let mut explicit_impairments = false;
-    let mut explicit_sessions = false;
-    let mut explicit_schemes = false;
-    let mut timeseries = false;
+    // Experiment-specific flags given, checked against the selection once
+    // all are parsed.
+    let mut axis_flags: Vec<&str> = Vec::new();
     let mut traces: Vec<u64> = Vec::new();
     fn value<'a>(iter: &mut std::slice::Iter<'a, String>, name: &str) -> Result<&'a str, String> {
         iter.next()
@@ -272,7 +226,6 @@ pub fn apply_worker_args(
                     cfg.contention.links = links.clone();
                     cfg.impair.links = links.clone();
                     cfg.serve.links = links;
-                    links_flag = true;
                 }
                 None => {
                     return Err(
@@ -282,10 +235,7 @@ pub fn apply_worker_args(
                 }
             },
             "--prop-delays" => match parse_prop_delays(value(&mut iter, arg)?) {
-                Some(ms) => {
-                    cfg.soak.prop_delays_ms = ms;
-                    soak_axis_flags = true;
-                }
+                Some(ms) => cfg.soak.prop_delays_ms = ms,
                 None => {
                     return Err(
                         "--prop-delays expects comma-separated distinct one-way delays in ms, each in 1..=10000 (e.g. 10,25,50)"
@@ -294,10 +244,7 @@ pub fn apply_worker_args(
                 }
             },
             "--queues" => match parse_queues(value(&mut iter, arg)?) {
-                Some(queues) => {
-                    cfg.soak.queues = queues;
-                    soak_axis_flags = true;
-                }
+                Some(queues) => cfg.soak.queues = queues,
                 None => {
                     return Err(
                         "--queues expects comma-separated distinct specs from auto|droptail|codel|bytes:N (e.g. auto,bytes:75000)"
@@ -313,13 +260,9 @@ pub fn apply_worker_args(
                     ));
                 }
                 cfg.contention.flows = n;
-                explicit_flows = true;
             }
             "--contend" => match parse_contend(value(&mut iter, arg)?) {
-                Some(flows) => {
-                    cfg.contention.contenders = Some(flows);
-                    explicit_contend = true;
-                }
+                Some(flows) => cfg.contention.contenders = Some(flows),
                 None => {
                     return Err(
                         "--contend expects 2..=16 comma-separated flow specs: scheme tags (sprout, sprout-ewma, cubic, cubic-codel, reno, vegas, compound, ledbat, skype, facetime, google-hangout) or tunneled app flows like skype-over-sprout; omniscient cannot contend"
@@ -328,10 +271,7 @@ pub fn apply_worker_args(
                 }
             },
             "--impairments" => match parse_impairments(value(&mut iter, arg)?) {
-                Some(impairments) => {
-                    cfg.impair.impairments = impairments;
-                    explicit_impairments = true;
-                }
+                Some(impairments) => cfg.impair.impairments = impairments,
                 None => {
                     return Err(format!(
                         "--impairments expects comma-separated distinct preset names from {}",
@@ -340,10 +280,7 @@ pub fn apply_worker_args(
                 }
             },
             "--sessions" => match parse_sessions(value(&mut iter, arg)?) {
-                Some(sessions) => {
-                    cfg.serve.sessions = sessions;
-                    explicit_sessions = true;
-                }
+                Some(sessions) => cfg.serve.sessions = sessions,
                 None => {
                     return Err(format!(
                         "--sessions expects comma-separated distinct session counts, each in 1..={MAX_SERVE_SESSIONS} (e.g. 1,64,1024)"
@@ -361,10 +298,7 @@ pub fn apply_worker_args(
                 }
             }
             "--schemes" => match parse_schemes(value(&mut iter, arg)?) {
-                Some(schemes) => {
-                    cfg.replay.schemes = schemes;
-                    explicit_schemes = true;
-                }
+                Some(schemes) => cfg.replay.schemes = schemes,
                 None => {
                     return Err(
                         "--schemes expects comma-separated distinct scheme tags (sprout, sprout-ewma, cubic, cubic-codel, reno, vegas, compound, ledbat, skype, facetime, google-hangout, omniscient)"
@@ -372,12 +306,14 @@ pub fn apply_worker_args(
                     )
                 }
             },
-            "--timeseries" => timeseries = true,
+            "--timeseries" => cfg.timeseries = true,
             other => return Err(format!("unknown worker flag {other:?}")),
         }
+        if !experiments::owners(arg).is_empty() {
+            axis_flags.push(arg);
+        }
     }
-    let explicit_traces = !traces.is_empty();
-    if explicit_traces {
+    if !traces.is_empty() {
         // Duplicate captures (same bytes under any path) would cross into
         // duplicate cells with identical labels and cache keys.
         match all_distinct(traces) {
@@ -399,56 +335,15 @@ pub fn apply_worker_args(
             cfg.warmup_secs = 20;
         }
     }
-    if soak_axis_flags && experiment != "soak" {
-        return Err(
-            "--prop-delays/--queues configure the soak matrix; they require the soak experiment"
-                .to_string(),
-        );
-    }
-    if links_flag
-        && experiment != "soak"
-        && experiment != "contention"
-        && experiment != "impair"
-        && experiment != "serve"
-    {
-        return Err(
-            "--links trims the soak/contention/impair/serve link axis; it requires one of those experiments"
-                .to_string(),
-        );
-    }
-    if (explicit_flows || explicit_contend) && experiment != "contention" {
-        return Err(
-            "--flows/--contend configure the contention matrix; they require the contention experiment"
-                .to_string(),
-        );
-    }
-    if explicit_impairments && experiment != "impair" {
-        return Err(
-            "--impairments configures the impair matrix; it requires the impair experiment"
-                .to_string(),
-        );
-    }
-    if explicit_sessions && experiment != "serve" {
-        return Err(
-            "--sessions configures the serve matrix; it requires the serve experiment".to_string(),
-        );
-    }
-    if (explicit_traces || explicit_schemes) && experiment != "replay" {
-        return Err(
-            "--trace/--schemes configure the replay matrix; they require the replay experiment"
-                .to_string(),
-        );
-    }
-    if timeseries {
-        if !matches!(experiment, "replay" | "impair" | "soak") {
-            return Err(
-                "--timeseries emits per-cell series for the replay, impair, and soak matrices; it requires one of those experiments"
-                    .to_string(),
-            );
+    for flag in &axis_flags {
+        if !selected.iter().all(|e| e.axis_flags.contains(flag)) {
+            return Err(format!(
+                "{flag} applies only to the {} experiment",
+                experiments::owners(flag).join(" or ")
+            ));
         }
-        cfg.timeseries = true;
     }
-    if explicit_flows && explicit_contend {
+    if axis_flags.contains(&"--flows") && axis_flags.contains(&"--contend") {
         return Err(
             "--flows sizes the default contention workloads and --contend replaces them; pick one"
                 .to_string(),
@@ -469,7 +364,7 @@ pub fn apply_worker_args(
     // their warmup from the run length (one sixth) instead of --warmup,
     // so their windows can never be empty.
     let effective_secs = effective_secs(cfg, experiment);
-    if experiment != "serve" && experiment != "replay" && cfg.warmup_secs >= effective_secs {
+    if !selected.iter().any(|e| e.derives_warmup) && cfg.warmup_secs >= effective_secs {
         return Err(format!(
             "warmup ({}s) must be shorter than the run ({}s): the measurement window would be empty",
             cfg.warmup_secs, effective_secs
@@ -478,16 +373,15 @@ pub fn apply_worker_args(
     Ok(())
 }
 
-/// The run length `experiment` will actually use under `cfg` (soak,
-/// serve, and replay carry their own defaults independently of
-/// `--secs`).
+/// The run length `experiment` will actually use under `cfg`: its
+/// registry entry's own run length (soak, serve, and replay carry their
+/// own defaults independently of `--secs`), else `--secs`.
 pub fn effective_secs(cfg: &ExperimentConfig, experiment: &str) -> u64 {
-    match experiment {
-        "soak" => cfg.soak.secs.unwrap_or(cfg.run_secs),
-        "serve" => cfg.serve.secs.unwrap_or(cfg.run_secs),
-        "replay" => cfg.replay.secs.unwrap_or(cfg.run_secs),
-        _ => cfg.run_secs,
-    }
+    experiments::select(experiment)
+        .unwrap_or_default()
+        .iter()
+        .find_map(|e| (e.own_secs)(cfg))
+        .unwrap_or(cfg.run_secs)
 }
 
 #[cfg(test)]

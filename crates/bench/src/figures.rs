@@ -14,10 +14,10 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use sprout_baselines::VideoApp;
-use sprout_trace::{Duration, Impairment, NetProfile, Trace, IMPAIRMENT_PRESETS};
+use sprout_trace::{Duration, Impairment, NetProfile, IMPAIRMENT_PRESETS};
 
 use crate::scenario::{FlowSpec, LinkSpec, QueueSpec, ScenarioMatrix, Workload};
-use crate::schemes::{RunConfig, Scheme, SchemeResult};
+use crate::schemes::{Scheme, SchemeResult};
 use crate::sweep::{self, CellCachePolicy, FlowSummary, ShardSpec, SweepEngine, SweepResult};
 
 pub use crate::scenario::{paired, paired_profile};
@@ -40,7 +40,7 @@ pub struct SoakAxes {
     pub queues: Vec<QueueSpec>,
     /// Soak run length override, seconds. Defaults to the paper-length
     /// [`SOAK_SECS`] so *every* soak entry point — CLI, library,
-    /// `matrices_for` shard workers — declares the identical matrix
+    /// registry shard workers — declares the identical matrix
     /// (and therefore the identical cache keys); `None` inherits the
     /// global `ExperimentConfig` timing (`--secs`/`--quick` set this).
     pub secs: Option<u64>,
@@ -292,15 +292,6 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// A fast configuration for smoke tests and criterion benches.
-    pub fn quick() -> Self {
-        ExperimentConfig {
-            run_secs: 90,
-            warmup_secs: 20,
-            ..Default::default()
-        }
-    }
-
     fn duration(&self) -> Duration {
         Duration::from_secs(self.run_secs)
     }
@@ -332,25 +323,6 @@ impl ExperimentConfig {
             b.cell_series(CELL_SERIES_BIN)
         } else {
             b
-        }
-    }
-
-    /// The synthetic stand-in for one measured link (deterministic in the
-    /// master seed).
-    pub fn trace_for(&self, profile: NetProfile) -> Trace {
-        profile.generate(self.duration(), self.seed)
-    }
-
-    /// Data/feedback trace pair for a link under test: the feedback path
-    /// is the same network's other direction. (Standalone-cell helper for
-    /// benches and tests; sweeps derive this internally.)
-    pub fn run_config(&self, profile: NetProfile) -> RunConfig {
-        let data = self.trace_for(profile);
-        let feedback = self.trace_for(crate::scenario::paired_profile(profile));
-        RunConfig {
-            duration: self.duration(),
-            warmup: self.warmup(),
-            ..RunConfig::new(data, feedback)
         }
     }
 
@@ -1384,39 +1356,6 @@ pub fn write_cell_series(
 }
 
 // -------------------------------------------------------------- helpers
-
-/// The matrices one `reproduce` experiment runs (fig8 derives from the
-/// fig7 sweep; `all` is every distinct matrix). Shard workers iterate
-/// this to execute their slice of each matrix without rendering figures.
-pub fn matrices_for(cfg: &ExperimentConfig, experiment: &str) -> Vec<ScenarioMatrix> {
-    match experiment {
-        "fig1" => vec![fig1_matrix(cfg)],
-        "fig2" => vec![fig2_matrix(cfg)],
-        "fig7" | "fig8" => vec![fig7_matrix(cfg)],
-        "fig9" => vec![fig9_matrix(cfg)],
-        "loss" => vec![loss_matrix(cfg)],
-        "tunnel" => vec![tunnel_matrix(cfg)],
-        "contention" => vec![contention_matrix(cfg)],
-        "soak" => vec![soak_matrix(cfg)],
-        "impair" => vec![impair_matrix(cfg)],
-        "serve" => vec![serve_matrix(cfg)],
-        "replay" => vec![replay_matrix(cfg)],
-        // "all" deliberately excludes soak (sized for sharded, resumable
-        // execution, not a single sitting) and
-        // contention/impair/serve/replay (their matrices are
-        // CLI-parameterized — axis flags would silently change what
-        // "all" means).
-        "all" => vec![
-            fig1_matrix(cfg),
-            fig2_matrix(cfg),
-            fig7_matrix(cfg),
-            fig9_matrix(cfg),
-            loss_matrix(cfg),
-            tunnel_matrix(cfg),
-        ],
-        other => panic!("unknown experiment {other:?}"),
-    }
-}
 
 /// Render a `SchemeResult` row for console output.
 pub fn fmt_result(name: &str, r: &SchemeResult) -> String {

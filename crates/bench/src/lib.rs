@@ -13,6 +13,7 @@
 
 pub mod cellcache;
 pub mod cli;
+pub mod experiments;
 pub mod figures;
 pub mod perf;
 pub mod scenario;

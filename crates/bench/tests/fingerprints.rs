@@ -20,24 +20,8 @@
 
 use std::fmt::Write as _;
 
-use sprout_bench::figures::{self, ExperimentConfig};
-
-/// Every distinct experiment matrix (fig8 shares fig7's sweep and is
-/// listed to document that identity).
-const EXPERIMENTS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig7",
-    "fig8",
-    "fig9",
-    "loss",
-    "tunnel",
-    "contention",
-    "soak",
-    "impair",
-    "serve",
-    "replay",
-];
+use sprout_bench::experiments::{self, EXPERIMENTS};
+use sprout_bench::figures::ExperimentConfig;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_fingerprints.tsv");
 
@@ -47,8 +31,10 @@ fn snapshot() -> String {
         "# experiment\tcells\tmatrix_fp\tcell0_fp\tcell0_canonical_bytes_hex\n\
          # Regenerate deliberately with: UPDATE_GOLDEN=1 cargo test -p sprout-bench --test fingerprints\n",
     );
+    // Every registry entry, in registry order (fig8 shares fig7's sweep
+    // and is listed to document that identity).
     for exp in EXPERIMENTS {
-        for matrix in figures::matrices_for(&cfg, exp) {
+        for matrix in (exp.matrices)(&cfg) {
             let cell0 = &matrix.cells()[0];
             let mut w = sprout_cache::ByteWriter::with_capacity(128);
             cell0.canonical_bytes(&mut w);
@@ -58,7 +44,8 @@ fn snapshot() -> String {
             });
             let _ = writeln!(
                 out,
-                "{exp}\t{}\t{:016x}\t{:016x}\t{hex}",
+                "{}\t{}\t{:016x}\t{:016x}\t{hex}",
+                exp.name,
                 matrix.len(),
                 matrix.fingerprint(),
                 cell0.fingerprint(),
@@ -89,8 +76,8 @@ fn matrix_fingerprints_match_the_committed_snapshot() {
 fn fig8_shares_fig7s_matrix_identity() {
     let cfg = ExperimentConfig::default();
     assert_eq!(
-        figures::matrices_for(&cfg, "fig7")[0].fingerprint(),
-        figures::matrices_for(&cfg, "fig8")[0].fingerprint(),
+        experiments::matrices(&cfg, "fig7")[0].fingerprint(),
+        experiments::matrices(&cfg, "fig8")[0].fingerprint(),
         "fig8 derives from the fig7 sweep; their cache identity must agree"
     );
 }

@@ -4,6 +4,8 @@
 
 use std::process::Command;
 
+use sprout_bench::experiments::EXPERIMENTS;
+
 fn reproduce(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .args(args)
@@ -251,4 +253,42 @@ fn soak_accepts_valid_axis_flags() {
     ]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+#[test]
+fn every_registry_entry_dispatches() {
+    let help = String::from_utf8(reproduce(&["--help"]).stdout).expect("utf-8 usage");
+    let names = EXPERIMENTS
+        .iter()
+        .map(|e| e.name)
+        .chain([sprout_bench::experiments::ALL]);
+    for name in names {
+        assert!(
+            help.split_whitespace().any(|word| word == name),
+            "--help must list {name}: {help}"
+        );
+        // The owns-no-cells shard trick: every name must parse, validate,
+        // build its matrices, run nothing, and exit 0.
+        let tmp = std::env::temp_dir().join(format!(
+            "reproduce-registry-cli-{}-{name}",
+            std::process::id()
+        ));
+        let (out_s, cache_s) = (
+            tmp.join("out").to_string_lossy().into_owned(),
+            tmp.join("cache").to_string_lossy().into_owned(),
+        );
+        let args = [
+            name,
+            "--quick",
+            "--shard",
+            "999999/1000000",
+            "--out",
+            &out_s,
+            "--cache-dir",
+            &cache_s,
+        ];
+        let out = reproduce(&args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        let _ = std::fs::remove_dir_all(&tmp);
+    }
 }

@@ -34,8 +34,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sprout_bench::figures::{self, ExperimentConfig};
-use sprout_bench::{cellcache, cli};
+use sprout_bench::figures::ExperimentConfig;
+use sprout_bench::{cellcache, cli, experiments};
 
 use crate::httpd::{self, json_escape, Request, Response};
 use crate::state::{Queue, SweepState};
@@ -739,7 +739,7 @@ fn cells(shared: &Arc<Shared>, id: u64) -> Response {
     }
     let mut rows = Vec::new();
     let mut cached_count = 0usize;
-    for matrix in figures::matrices_for(&cfg, &spec.experiment) {
+    for matrix in experiments::matrices(&cfg, &spec.experiment) {
         let fingerprint = matrix.fingerprint();
         for cell in matrix.cells() {
             let cached = cellcache::load_cell(matrix.name(), fingerprint, cell, cfg.seed).is_some();

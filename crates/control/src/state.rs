@@ -79,7 +79,8 @@ impl SweepState {
 pub struct SweepSpec {
     /// Queue-assigned id, unique within a state directory's lifetime.
     pub id: u64,
-    /// Experiment name from [`sprout_bench::cli::EXPERIMENTS`].
+    /// Experiment name: an entry of [`sprout_bench::experiments::EXPERIMENTS`]
+    /// or `all`.
     pub experiment: String,
     /// Shard worker count (`--shard i/workers` per worker).
     pub workers: usize,

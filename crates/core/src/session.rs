@@ -189,28 +189,23 @@ impl SessionPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forecast::table_memory_counters;
-
-    /// A geometry no other test in this binary uses, so the first
-    /// `ForecastTables::get` in this test is a genuine in-memory build.
-    fn unique_cfg() -> SproutConfig {
-        let mut cfg = SproutConfig::test_small();
-        cfg.max_rate_pps = 203.0;
-        cfg
-    }
 
     #[test]
     fn sessions_share_one_table_build() {
-        let before = table_memory_counters();
-        let mut pool = SessionPool::new(unique_cfg(), 42);
+        let mut pool = SessionPool::new(SproutConfig::test_small(), 42);
         for sid in 0..8 {
             pool.add_session(sid);
         }
-        let d = table_memory_counters().since(before);
-        assert_eq!(d.built, 1, "one build per link group");
-        assert_eq!(d.reused, 7, "N-1 reuses per link group");
         assert_eq!(pool.len(), 8);
-        assert!(pool.tables().is_some());
+        // `add_session` asserts every forecaster's tables are the pool's
+        // allocation; the pool plus all 8 forecasters hold that one `Arc`
+        // (the global table cache may hold one more). Asserted without the
+        // process-global build counters, which sibling tests move
+        // concurrently.
+        let tables = pool
+            .tables()
+            .expect("the first session captured the tables");
+        assert!(Arc::strong_count(tables) >= 9);
     }
 
     #[test]
