@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! reproduce <experiment> [--secs N] [--warmup N] [--seed N] [--out DIR]
-//!                        [--threads N] [--batch on|off] [--quick] [--json]
+//!                        [--threads N] [--quick] [--json]
 //!                        [--cache-dir DIR] [--no-cache] [--cell-timeout SECS]
 //!                        [--shard I/N] [--merge] [--resume] [--controlled]
-//!                        [--bench] [--bench-baseline FILE]
 //!
 //! experiments:
 //!   fig1       Skype vs Sprout time series (Verizon LTE downlink)
@@ -50,11 +49,6 @@
 //!   --seed N     master seed; all randomness derives from it (default 20130401)
 //!   --out DIR    artifact directory (default results/)
 //!   --threads N  sweep worker threads (default: one per core)
-//!   --batch on|off  batched cell execution (default on): group cells
-//!                sharing a link/duration stripe onto one worker so
-//!                traces, forecast tables, and scratch arenas stay warm;
-//!                off restores the per-cell schedule. Results are
-//!                bit-identical either way
 //!   --quick      shorthand for --secs 90 --warmup 20 (explicit --secs /
 //!                --warmup flags win regardless of order)
 //!   --json       after running, print the sweep JSON artifact(s) to stdout
@@ -78,11 +72,6 @@
 //!                heartbeat line (`CONTROL hb <seq> abandoned=<n>`) to
 //!                stdout every 500 ms so the daemon can distinguish a
 //!                slow worker from a dead one
-//!   --bench      run the perf-trajectory mode instead of an experiment:
-//!                execute the canonical bench matrix + hot-path
-//!                microbenchmarks and write BENCH_sweep.json
-//!   --bench-baseline FILE  compare the --bench report against FILE;
-//!                exit 1 on >20% timing regression or any metric drift
 //!
 //! axis flags (comma-separated lists):
 //!   --links LIST        link ids, e.g. vz-lte-down,tmo-3g-up
@@ -124,14 +113,13 @@
 //! identical whether the sweep ran in one process or as `--shard` slices
 //! merged afterwards.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use sprout_bench::experiments::{self, ALL, EXPERIMENTS};
 use sprout_bench::figures::{self, ExperimentConfig};
-use sprout_bench::{cli, perf, CellCachePolicy, ShardSpec};
+use sprout_bench::{cli, CellCachePolicy, ShardSpec};
 
-const USAGE_FLAGS: &str = "usage: reproduce <experiment> [--secs N] [--warmup N] [--seed N] [--out DIR] [--threads N] [--batch on|off] [--quick] [--json] [--cache-dir DIR] [--no-cache] [--cell-timeout SECS] [--shard I/N] [--merge] [--resume] [--controlled] [--bench] [--bench-baseline FILE] [--links LIST] [--prop-delays LIST] [--queues LIST] [--flows N] [--contend LIST] [--impairments LIST] [--sessions LIST] [--trace FILE]... [--schemes LIST] [--timeseries]";
+const USAGE_FLAGS: &str = "usage: reproduce <experiment> [--secs N] [--warmup N] [--seed N] [--out DIR] [--threads N] [--quick] [--json] [--cache-dir DIR] [--no-cache] [--cell-timeout SECS] [--shard I/N] [--merge] [--resume] [--controlled] [--links LIST] [--prop-delays LIST] [--queues LIST] [--flows N] [--contend LIST] [--impairments LIST] [--sessions LIST] [--trace FILE]... [--schemes LIST] [--timeseries]";
 /// Each experiment-specific flag with an example value; the usage text
 /// names the experiments that accept it from the registry.
 const AXIS_EXAMPLES: &[(&str, &str)] = &[
@@ -176,8 +164,6 @@ struct Options {
     cmd: String,
     cfg: ExperimentConfig,
     json: bool,
-    bench: bool,
-    bench_baseline: Option<PathBuf>,
     controlled: bool,
 }
 
@@ -191,8 +177,6 @@ fn parse_args() -> Options {
     let mut cfg = ExperimentConfig::default();
     let mut cmd: Option<String> = None;
     let mut json = false;
-    let mut bench = false;
-    let mut bench_baseline = None;
     let mut merge = false;
     let mut resume = false;
     let mut no_cache = false;
@@ -221,11 +205,6 @@ fn parse_args() -> Options {
                 None => usage_error("--out expects a directory"),
             },
             "--json" => json = true,
-            "--bench" => bench = true,
-            "--bench-baseline" => match args.next() {
-                Some(path) => bench_baseline = Some(PathBuf::from(path)),
-                None => usage_error("--bench-baseline expects a file"),
-            },
             "--cache-dir" => match args.next() {
                 Some(dir) => sprout_cache::set_dir(dir),
                 None => usage_error("--cache-dir expects a directory"),
@@ -262,22 +241,12 @@ fn parse_args() -> Options {
             other => usage_error(&format!("unexpected argument {other:?}")),
         }
     }
-    let explicit_cmd = cmd.is_some();
     let cmd = cmd.unwrap_or_else(|| ALL.to_string());
     if let Err(msg) = cli::apply_worker_args(&mut cfg, &cmd, &worker_args) {
         usage_error(&msg);
     }
-    if bench_baseline.is_some() && !bench {
-        usage_error("--bench-baseline requires --bench");
-    }
-    if bench && explicit_cmd {
-        usage_error("--bench runs its own matrix; drop the experiment name");
-    }
     if merge && resume {
         usage_error("--merge and --resume are mutually exclusive");
-    }
-    if bench && (merge || resume || !cfg.shard.is_full()) {
-        usage_error("--bench measures execution; it cannot combine with --shard/--merge/--resume");
     }
     if merge && !cfg.shard.is_full() {
         usage_error("--merge reassembles the whole matrix; drop --shard");
@@ -299,8 +268,6 @@ fn parse_args() -> Options {
         cmd,
         cfg,
         json,
-        bench,
-        bench_baseline,
         controlled,
     }
 }
@@ -335,92 +302,6 @@ fn print_json_artifacts(cfg: &ExperimentConfig, cmd: &str) -> std::io::Result<()
     for matrix in experiments::matrices(cfg, cmd) {
         let path = cfg.sweep_json_path(matrix.name());
         print!("{}", std::fs::read_to_string(path)?);
-    }
-    Ok(())
-}
-
-/// `--bench`: run the canonical bench matrix plus microbenchmarks,
-/// record `BENCH_sweep.json` (and the matrix's canonical sweep JSON),
-/// optionally enforcing a baseline.
-fn run_bench(cfg: &ExperimentConfig, baseline: Option<&std::path::Path>) -> std::io::Result<()> {
-    sprout_core::reset_table_cache_counters();
-    sprout_trace::reset_trace_cache_counters();
-    sprout_bench::reset_cell_cache_counters();
-    let matrix = perf::bench_matrix(cfg);
-    let (results, stats) = cfg.engine().run_with_stats(&matrix);
-    let mut canonical = std::fs::File::create(cfg.sweep_json_path(matrix.name()))?;
-    sprout_bench::write_json(&mut canonical, matrix.name(), cfg.seed, &results)?;
-
-    println!("== bench matrix ({} cells) ==", results.len());
-    for r in &results {
-        println!("  {:32} {:>8.1} ms", r.scenario.label, r.wall_ms);
-    }
-    println!(
-        "  total {:.1} ms | table cache {}h/{}m | trace cache {}h/{}m",
-        stats.total_wall_ms,
-        stats.table_cache.hits,
-        stats.table_cache.misses,
-        stats.trace_cache.hits,
-        stats.trace_cache.misses,
-    );
-    let micro = perf::run_micro_benches();
-    println!("== microbenches ==");
-    for m in &micro {
-        println!("  {:24} {:>12.0} ns/iter", m.key, m.ns_per_iter);
-    }
-    let serve = perf::run_serve_capacity(cfg.seed);
-    println!(
-        "== serve capacity ({} sessions) ==\n  {:.0} sessions/sec | {:.0} bytes/session | tick p99 {:.0} ns",
-        serve.sessions, serve.sessions_per_sec, serve.per_session_bytes, serve.tick_p99_ns
-    );
-
-    let report = sprout_bench::BenchReport {
-        seed: cfg.seed,
-        results,
-        stats,
-        micro,
-        serve,
-    };
-    let rendered = sprout_bench::bench_report_to_json(&report);
-    let path = cfg.out_dir.join("BENCH_sweep.json");
-    // The trajectory is additive-only: a fresh report may introduce new
-    // fields but must carry every key the baseline it replaces (or is
-    // compared against) already records — dropping one would silently
-    // sever the perf history. Refuse the overwrite instead (exit 2).
-    let mut priors: Vec<(String, String)> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(&path) {
-        priors.push((format!("{path:?}"), existing));
-    }
-    if let Some(baseline_path) = baseline {
-        if let Ok(b) = std::fs::read_to_string(baseline_path) {
-            priors.push((format!("{baseline_path:?}"), b));
-        }
-    }
-    for (source, old) in &priors {
-        let missing = sprout_bench::missing_keys(old, &rendered);
-        if let Some(key) = missing.first() {
-            eprintln!(
-                "refusing to overwrite {path:?}: fresh report drops key {key:?} \
-present in {source} ({} missing in total) — BENCH_sweep.json is additive-only",
-                missing.len()
-            );
-            std::process::exit(2);
-        }
-    }
-    std::fs::write(&path, rendered)?;
-    println!("bench trajectory written to {path:?}");
-
-    if let Some(baseline_path) = baseline {
-        let baseline_json = std::fs::read_to_string(baseline_path)?;
-        let violations = sprout_bench::check_regression(&report, &baseline_json, 0.20);
-        if !violations.is_empty() {
-            eprintln!("regression against {baseline_path:?}:");
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            std::process::exit(1);
-        }
-        println!("within 20% of baseline {baseline_path:?}");
     }
     Ok(())
 }
@@ -502,16 +383,11 @@ fn run() -> std::io::Result<()> {
         cmd,
         cfg,
         json,
-        bench,
-        bench_baseline,
         controlled,
     } = parse_args();
     figures::ensure_out_dir(&cfg.out_dir)?;
     if controlled {
         start_heartbeat();
-    }
-    if bench {
-        return run_bench(&cfg, bench_baseline.as_deref());
     }
     if !cfg.shard.is_full() {
         let r = run_shard(&cfg, &cmd);

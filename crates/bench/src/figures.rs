@@ -244,8 +244,6 @@ pub struct ExperimentConfig {
     pub shard: ShardSpec,
     /// Cell-result cache policy (`--resume` / `--merge`).
     pub cell_policy: CellCachePolicy,
-    /// Batched cell execution (`--batch on|off`, default on).
-    pub batch: bool,
     /// Per-cell watchdog budget in seconds (`--cell-timeout SECS`).
     pub cell_timeout_secs: u64,
     /// Output directory for TSV/JSON artifacts.
@@ -278,7 +276,6 @@ impl Default for ExperimentConfig {
             threads: 0,
             shard: ShardSpec::FULL,
             cell_policy: CellCachePolicy::Execute,
-            batch: true,
             cell_timeout_secs: crate::sweep::DEFAULT_CELL_TIMEOUT.as_secs(),
             out_dir: PathBuf::from("results"),
             soak: SoakAxes::default(),
@@ -306,7 +303,6 @@ impl ExperimentConfig {
             .with_threads(self.threads)
             .with_shard(self.shard)
             .with_policy(self.cell_policy)
-            .with_batch(self.batch)
             .with_cell_timeout(std::time::Duration::from_secs(self.cell_timeout_secs))
     }
 

@@ -15,14 +15,11 @@ pub mod cellcache;
 pub mod cli;
 pub mod experiments;
 pub mod figures;
-pub mod perf;
 pub mod scenario;
 pub mod schemes;
 pub mod sweep;
 
-pub use cellcache::{
-    cell_cache_counters, cell_series_cache_counters, reset_cell_cache_counters, ENGINE_VERSION,
-};
+pub use cellcache::{cell_cache_counters, cell_series_cache_counters, ENGINE_VERSION};
 pub use figures::{
     contention, contention_matrix, default_contention_workloads, default_corpus_fingerprints, fig1,
     fig2, fig7, fig8, fig9, impair, impair_matrix, loss_table, replay, replay_matrix, serve,
@@ -31,10 +28,6 @@ pub use figures::{
     ReplayAxes, ReplayRow, ServeAxes, ServeRow, SoakAxes, CELL_SERIES_BIN,
     DEFAULT_CONTENTION_FLOWS, REPLAY_SECS, SERVE_SECS, SERVE_SESSIONS, SHALLOW_QUEUE_BYTES,
     SOAK_SECS,
-};
-pub use perf::{
-    bench_report_to_json, check_regression, missing_keys, run_serve_capacity, BenchReport,
-    MicroBench, ServeCapacity,
 };
 pub use scenario::{
     FlowSpec, LinkSpec, MatrixBuilder, QueueSpec, ResolvedQueue, Scenario, ScenarioMatrix,

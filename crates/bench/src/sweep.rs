@@ -15,7 +15,7 @@
 //!
 //! Consequently a sweep is bit-identical for any thread count or
 //! execution order, and [`write_json`] emits a canonical, diffable record
-//! of the whole matrix (the `BENCH_*.json` trajectory format).
+//! of the whole matrix.
 //!
 //! **Sharding and resumption.** Because every cell is a pure function of
 //! `(engine version, matrix, scenario, master_seed)`, the engine can
@@ -128,9 +128,9 @@ pub struct InterarrivalSummary {
 
 /// Deterministic summary of one multi-session serve cell. Wall-clock
 /// capacity numbers (sessions/sec, per-session heap, tick latency) are
-/// deliberately *not* here — they live in the `BENCH_sweep.json`
-/// trajectory (`crate::perf`) — so this payload stays bit-identical
-/// across machines, thread counts, and batch modes.
+/// deliberately *not* here — the `perfbench` benchmark measures them —
+/// so this payload stays bit-identical across machines, thread counts,
+/// and the batched and unbatched schedules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeStats {
     /// Number of concurrent sessions the cell served.
@@ -185,7 +185,7 @@ pub struct SweepResult {
     /// Wall-clock execution time of this cell, milliseconds. Measured,
     /// not simulated — deliberately **excluded** from the canonical
     /// sweep JSON (which must stay bit-identical across machines and
-    /// thread counts); the `BENCH_sweep.json` trajectory records it.
+    /// thread counts); the `perfbench` benchmark reads it.
     pub wall_ms: f64,
 }
 

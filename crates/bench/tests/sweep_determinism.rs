@@ -83,8 +83,7 @@ fn batch_mode_does_not_change_results() {
             assert_eq!(
                 sweep_to_json(m.name(), 7, &r),
                 want,
-                "--threads {threads} --batch {} diverged from the unbatched single-thread run",
-                if batch { "on" } else { "off" }
+                "threads {threads}, with_batch({batch}) diverged from the unbatched single-thread run"
             );
         }
     }

@@ -168,22 +168,6 @@ impl SessionPool {
     pub fn stats(&self, idx: usize) -> EndpointStats {
         self.endpoints[idx].stats()
     }
-
-    /// Estimated resident bytes of *per-session* state: the endpoint
-    /// struct (sender, receiver, forecaster posterior and scratch all
-    /// live inline or in small owned buffers) plus this pool's SoA slots.
-    /// Shared state — the table DP, the config — is deliberately
-    /// excluded: it does not scale with N, which is the point. Reported
-    /// as `serve.per_session_bytes` in the bench trajectory.
-    pub fn approx_session_bytes(&self) -> usize {
-        std::mem::size_of::<SproutEndpoint>()
-            + std::mem::size_of::<BayesianForecaster>()
-            + std::mem::size_of::<u32>()
-            + std::mem::size_of::<u64>()
-            // HashMap entry: key + value + bucket overhead (~1.1 factor
-            // rounded up to whole words).
-            + 3 * std::mem::size_of::<usize>()
-    }
 }
 
 #[cfg(test)]

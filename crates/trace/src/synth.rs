@@ -37,11 +37,6 @@ pub fn trace_cache_counters() -> CacheCounters {
     TRACE_ARTIFACT.counters()
 }
 
-/// Reset the trace cache counters (bench/test harnesses).
-pub fn reset_trace_cache_counters() {
-    TRACE_ARTIFACT.reset_counters()
-}
-
 /// Encode a trace's delivery opportunities: count, first timestamp, then
 /// `u32` deltas (microseconds). Deltas beyond `u32::MAX` (> 71 virtual
 /// minutes of continuous outage — unreachable for these links) make the

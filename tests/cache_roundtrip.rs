@@ -51,14 +51,41 @@ fn sweep_json_is_bit_identical_cold_warm_and_disabled() {
     let _g = cache_lock().lock().unwrap();
     let dir = fresh_dir("sweep");
 
+    // Every test holds `cache_lock`, so counter deltas taken here see only
+    // this test's traffic.
+    let disk = || {
+        (
+            sprout_trace::trace_cache_counters(),
+            sprout_core::table_cache_counters(),
+        )
+    };
     sprout_cache::set_dir(&dir);
+    let before_cold = disk();
     let cold = run_tiny_sweep(31);
+    let before_warm = disk();
     let warm = run_tiny_sweep(31);
+    let after_warm = disk();
     sprout_cache::disable();
     let disabled = run_tiny_sweep(31);
     sprout_cache::reset_override();
 
     assert_eq!(cold, warm, "warm cache changed the sweep output");
+    let cold_traces = before_warm.0.since(before_cold.0);
+    assert!(
+        cold_traces.misses >= 1,
+        "cold run missed no trace: {cold_traces:?}"
+    );
+    // A warm re-run is served entirely from the trace and table caches.
+    let warm_traces = after_warm.0.since(before_warm.0);
+    let warm_tables = after_warm.1.since(before_warm.1);
+    assert_eq!(
+        warm_traces.misses, 0,
+        "warm run missed a trace: {warm_traces:?}"
+    );
+    assert_eq!(
+        warm_tables.misses, 0,
+        "warm run missed a table: {warm_tables:?}"
+    );
     assert_eq!(cold, disabled, "disabling the cache changed the output");
     // The cold run populated the trace artifacts this matrix needs.
     assert!(
