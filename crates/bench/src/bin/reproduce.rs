@@ -361,10 +361,10 @@ fn print_cell_cache_delta(experiment: &str, mark: TrafficMark) -> TrafficMark {
     let now = traffic_now();
     let c = now.0.since(mark.0);
     let f = now.1.since(mark.1);
-    let (workers, batches) = sprout_bench::last_batch_layout();
+    let (workers, _) = sprout_bench::last_batch_layout();
     println!(
-        "cell cache [{experiment}]: {} hits, {} misses, {} stores, {} quarantined | cells: {} failed, {} timed out | layout: {} workers, {} batches",
-        c.hits, c.misses, c.stores, c.quarantined, f.failed, f.timed_out, workers, batches
+        "cell cache [{experiment}]: {} hits, {} misses, {} stores, {} quarantined | cells: {} failed, {} timed out | layout: {} workers",
+        c.hits, c.misses, c.stores, c.quarantined, f.failed, f.timed_out, workers
     );
     now
 }

@@ -37,8 +37,7 @@ pub use schemes::{build_endpoints, run_scheme, RunConfig, Scheme, SchemeResult};
 pub use sprout_baselines::VideoApp;
 pub use sweep::{
     abandoned_cell_threads, cell_failure_counters, last_batch_layout, sweep_to_json,
-    trace_memo_occupancy, trace_memory_counters, write_json, BatchStats, CellCachePolicy,
-    CellFailure, CellFailureCounters, CellScratch, CellSeries, CellSeriesBin, FlowSummary,
-    InterarrivalSummary, SeriesRow, ServeStats, ShardSpec, SweepEngine, SweepError, SweepResult,
-    SweepStats, DEFAULT_CELL_TIMEOUT,
+    trace_memo_occupancy, trace_memory_counters, write_json, CellCachePolicy, CellFailure,
+    CellFailureCounters, CellSeries, CellSeriesBin, FlowSummary, InterarrivalSummary, SeriesRow,
+    ServeStats, ShardSpec, SweepEngine, SweepError, SweepResult, SweepStats, DEFAULT_CELL_TIMEOUT,
 };

@@ -129,8 +129,8 @@ pub struct InterarrivalSummary {
 /// Deterministic summary of one multi-session serve cell. Wall-clock
 /// capacity numbers (sessions/sec, per-session heap, tick latency) are
 /// deliberately *not* here — the `perfbench` benchmark measures them —
-/// so this payload stays bit-identical across machines, thread counts,
-/// and the batched and unbatched schedules.
+/// so this payload stays bit-identical across machines and thread
+/// counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeStats {
     /// Number of concurrent sessions the cell served.
@@ -189,9 +189,10 @@ pub struct SweepResult {
     pub wall_ms: f64,
 }
 
-/// Execution statistics of one sweep run: wall time plus the disk-cache
-/// traffic the run generated. Cache counters are process-global deltas,
-/// so run sweeps one at a time when attributing traffic to a run.
+/// Execution statistics of one sweep run: wall time, the disk-cache
+/// traffic the run generated, its worker count and its in-memory
+/// amortization. Cache counters are process-global deltas, so run sweeps
+/// one at a time when attributing traffic to a run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SweepStats {
     /// Wall-clock time of the whole `run` call, milliseconds.
@@ -203,25 +204,12 @@ pub struct SweepStats {
     /// Cell-result disk-cache traffic during the run (hits mean whole
     /// cells were served without simulating).
     pub cell_cache: sprout_cache::CacheCounters,
-    /// Batch-executor layout and in-memory amortization during the run.
-    pub batch: BatchStats,
-}
-
-/// How the batch executor laid out one sweep and how well the in-memory
-/// shared resources amortized across its cells. Unlike the disk-cache
-/// counters in [`SweepStats`], a "reuse" here means a live in-memory
-/// handle was served — no disk I/O, no decode, no rebuild.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BatchStats {
-    /// Whether batched execution was enabled ([`SweepEngine::batch`]).
-    pub enabled: bool,
     /// Worker threads the executed phase actually spawned (0 when every
     /// cell was served from the result cache).
     pub workers: usize,
-    /// Cell batches the pending work was grouped into (0 when nothing
-    /// executed; equals the pending-cell count when batching is off).
-    pub batches: usize,
     /// Forecast-table in-memory amortization (process-global delta).
+    /// Unlike the disk-cache counters above, a "reuse" here means a live
+    /// in-memory handle was served — no disk I/O, no decode, no rebuild.
     pub tables: sprout_core::MemCounters,
     /// Link-trace in-memory amortization (process-global delta).
     pub traces: sprout_core::MemCounters,
@@ -232,7 +220,7 @@ static TRACES_REUSED: AtomicU64 = AtomicU64::new(0);
 static TRACES_EVICTED: AtomicU64 = AtomicU64::new(0);
 static TRACE_MEMO_LEN: AtomicU64 = AtomicU64::new(0);
 static LAST_WORKERS: AtomicUsize = AtomicUsize::new(0);
-static LAST_BATCHES: AtomicUsize = AtomicUsize::new(0);
+static LAST_CELLS: AtomicUsize = AtomicUsize::new(0);
 static CELLS_PANICKED: AtomicU64 = AtomicU64::new(0);
 static CELLS_TIMED_OUT: AtomicU64 = AtomicU64::new(0);
 /// Gauge (not a counter): cell threads the watchdog has abandoned that
@@ -299,13 +287,13 @@ pub fn trace_memo_occupancy() -> (usize, u64) {
     )
 }
 
-/// The worker/batch layout of the most recent sweep execution in this
-/// process: `(workers, batches)`, both 0 when the last sweep executed
+/// The layout of the most recent sweep execution in this process:
+/// `(workers, executed cells)`, both 0 when the last sweep executed
 /// nothing (fully cache-served).
 pub fn last_batch_layout() -> (usize, usize) {
     (
         LAST_WORKERS.load(Ordering::Relaxed),
-        LAST_BATCHES.load(Ordering::Relaxed),
+        LAST_CELLS.load(Ordering::Relaxed),
     )
 }
 
@@ -473,13 +461,6 @@ pub struct SweepEngine {
     pub shard: ShardSpec,
     /// How the per-cell result cache is consulted.
     pub policy: CellCachePolicy,
-    /// Batched execution (the default): pending cells are grouped by
-    /// shared trace/table key and dealt to workers a batch at a time, so
-    /// cells sharing heavy precomputed inputs run consecutively on one
-    /// worker (warm in-memory handles, recycled scratch arenas). Off,
-    /// every cell is its own batch — the pre-batching schedule. Either
-    /// way results are bit-identical; only the execution order differs.
-    pub batch: bool,
     /// Per-cell watchdog: a cell still running after this wall-clock
     /// budget is abandoned and reported as a named [`CellFailure`]
     /// (with [`CellFailure::timed_out`] set) instead of wedging the
@@ -500,7 +481,6 @@ impl SweepEngine {
             threads: 0,
             shard: ShardSpec::FULL,
             policy: CellCachePolicy::Execute,
-            batch: true,
             cell_timeout: DEFAULT_CELL_TIMEOUT,
         }
     }
@@ -520,12 +500,6 @@ impl SweepEngine {
     /// Set the cell-result cache policy.
     pub fn with_policy(mut self, policy: CellCachePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Enable or disable batched cell execution.
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -568,19 +542,14 @@ impl SweepEngine {
         let trmem0 = trace_memory_counters();
         let t0 = std::time::Instant::now();
         let results = self.run(matrix);
-        let (workers, batches) = last_batch_layout();
         let stats = SweepStats {
             total_wall_ms: t0.elapsed().as_secs_f64() * 1e3,
             table_cache: sprout_core::table_cache_counters().since(table0),
             trace_cache: sprout_trace::trace_cache_counters().since(trace0),
             cell_cache: crate::cellcache::cell_cache_counters().since(cell0),
-            batch: BatchStats {
-                enabled: self.batch,
-                workers,
-                batches,
-                tables: sprout_core::table_memory_counters().since(tmem0),
-                traces: trace_memory_counters().since(trmem0),
-            },
+            workers: last_batch_layout().0,
+            tables: sprout_core::table_memory_counters().since(tmem0),
+            traces: trace_memory_counters().since(trmem0),
         };
         (results, stats)
     }
@@ -632,70 +601,47 @@ impl SweepEngine {
             });
         }
 
-        // Phase 2: execute the rest over the worker pool. Traces depend
-        // only on (master_seed, link, duration) — synthetic links
-        // generate from the seed, measured links resolve from the
-        // registry — so all pending cells sharing a link replay one
-        // resolution instead of each redoing it (fig7: 80 cells but only
-        // 8 links × 2 directions); fully-cached sweeps build nothing at
-        // all.
-        //
-        // Batched execution deals cells to workers one *batch* at a time:
-        // pending cells are grouped by their shared-input key (link
-        // profile and duration — the trace key, which also covers the
-        // forecast-table geometry, since every cell of one link/duration
-        // stripe shares a [`sprout_core::SproutConfig`] table geometry)
-        // and a worker claims a whole group, running its cells
-        // consecutively with one recycled [`CellScratch`] arena. Cells
-        // are pure functions of their scenario, so the schedule cannot
-        // change results — only locality.
+        // Phase 2: execute the rest over the worker pool, dealing cells
+        // one at a time from a shared cursor. Traces depend only on
+        // (master_seed, link, duration) — synthetic links generate from
+        // the seed, measured links resolve from the registry — so the
+        // sweep's trace memo resolves each key once, however the cells
+        // sharing it land on workers (fig7: 80 cells but only 8 links ×
+        // 2 directions); the global forecast-table cache does the same
+        // for table geometries, and fully-cached sweeps build nothing at
+        // all. Cells are pure functions of their scenario, so the
+        // schedule cannot change results.
         let mut failures: Vec<CellFailure> = Vec::new();
         if pending.is_empty() {
             LAST_WORKERS.store(0, Ordering::Relaxed);
-            LAST_BATCHES.store(0, Ordering::Relaxed);
+            LAST_CELLS.store(0, Ordering::Relaxed);
         } else {
             let memo = std::sync::Arc::new(TraceMemo::new(self.master_seed));
-            let groups = batch_groups(&pending, |j| owned[pending[j]], self.batch);
-            let threads = self.effective_threads(groups.len());
+            let threads = self.effective_threads(pending.len());
             LAST_WORKERS.store(threads, Ordering::Relaxed);
-            LAST_BATCHES.store(groups.len(), Ordering::Relaxed);
+            LAST_CELLS.store(pending.len(), Ordering::Relaxed);
             let slots: Vec<Mutex<Option<Result<SweepResult, CellFailure>>>> =
                 pending.iter().map(|_| Mutex::new(None)).collect();
             let next = AtomicUsize::new(0);
 
             std::thread::scope(|scope| {
                 for _ in 0..threads {
-                    scope.spawn(|| {
-                        let mut scratch = CellScratch::default();
-                        loop {
-                            let g = next.fetch_add(1, Ordering::Relaxed);
-                            if g >= groups.len() {
-                                break;
-                            }
-                            for &j in &groups[g] {
-                                let cell = owned[pending[j]];
-                                let entry = match run_watchdogged(
-                                    matrix.name(),
-                                    cell,
-                                    self.master_seed,
-                                    &memo,
-                                    std::mem::take(&mut scratch),
-                                    self.cell_timeout,
-                                ) {
-                                    Ok((result, returned)) => {
-                                        scratch = returned;
-                                        crate::cellcache::store_cell(
-                                            matrix_fp,
-                                            self.master_seed,
-                                            &result,
-                                        );
-                                        Ok(result)
-                                    }
-                                    Err(failure) => Err(failure),
-                                };
-                                *slots[j].lock().unwrap() = Some(entry);
-                            }
+                    scope.spawn(|| loop {
+                        let j = next.fetch_add(1, Ordering::Relaxed);
+                        if j >= pending.len() {
+                            break;
                         }
+                        let entry = run_watchdogged(
+                            matrix.name(),
+                            owned[pending[j]],
+                            self.master_seed,
+                            &memo,
+                            self.cell_timeout,
+                        );
+                        if let Ok(result) = &entry {
+                            crate::cellcache::store_cell(matrix_fp, self.master_seed, result);
+                        }
+                        *slots[j].lock().unwrap() = Some(entry);
                     });
                 }
             });
@@ -740,10 +686,7 @@ impl SweepEngine {
 /// wall-clock watchdog. The cell thread owns clones of everything it
 /// needs, so a wedged cell can be *abandoned* — the worker stops
 /// waiting, reports a named timeout failure, and moves on — without
-/// wedging the sweep's scope join. On success the recycled scratch
-/// arena rides back with the result; a panic or timeout forfeits it
-/// (mid-panic state is unknown, and an abandoned thread still owns its
-/// arena), so the worker starts the next cell from a fresh one.
+/// wedging the sweep's scope join.
 ///
 /// Abandonment is not fire-and-forget: the watchdog arms the cell's
 /// [`cancel::CancelToken`] on timeout, the simulation/synthesis loops
@@ -756,9 +699,8 @@ fn run_watchdogged(
     cell: &Scenario,
     master_seed: u64,
     memo: &std::sync::Arc<TraceMemo>,
-    scratch: CellScratch,
     timeout: std::time::Duration,
-) -> Result<(SweepResult, CellScratch), CellFailure> {
+) -> Result<SweepResult, CellFailure> {
     cancel::silence_cancelled_panics();
     let (tx, rx) = std::sync::mpsc::channel();
     let name = matrix.to_string();
@@ -772,20 +714,15 @@ fn run_watchdogged(
     let cell_token = token.clone();
     let cell_state = std::sync::Arc::clone(&state);
     std::thread::spawn(move || {
-        let mut scratch = scratch;
         let guard = cancel::CancelGuard::install(cell_token);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute_with_memo(&name, &scenario, master_seed, &memo, &mut scratch)
+            execute_with_memo(&name, &scenario, master_seed, &memo)
         }));
         drop(guard);
-        let scratch = match &outcome {
-            Ok(_) => scratch,
-            Err(_) => CellScratch::default(),
-        };
         // Send fails only when the watchdog already gave up on us; the
         // late (or cancellation-unwound) result is deliberately dropped
         // and never cached.
-        let _ = tx.send((outcome, scratch));
+        let _ = tx.send(outcome);
         if cell_state.swap(1, Ordering::AcqRel) == 2 {
             // The watchdog abandoned us and we just exited: settle the
             // live-abandoned gauge back down.
@@ -793,8 +730,8 @@ fn run_watchdogged(
         }
     });
     match rx.recv_timeout(timeout) {
-        Ok((Ok(result), scratch)) => Ok((result, scratch)),
-        Ok((Err(payload), _)) => Err(CellFailure {
+        Ok(Ok(result)) => Ok(result),
+        Ok(Err(payload)) => Err(CellFailure {
             scenario_id: cell.id,
             label: cell.label.clone(),
             message: panic_message(payload.as_ref()),
@@ -830,45 +767,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Group pending-cell indices (`0..pending_len`) into batches of cells
-/// sharing one `(link, duration)` stripe — the key under which both the
-/// synthesized traces and the forecast-table geometry are shared. Groups
-/// preserve first-occurrence order and cells stay in matrix order within
-/// a group, so the schedule is deterministic. With batching off, every
-/// cell is its own (singleton) group.
-fn batch_groups<'a>(
-    pending: &[usize],
-    cell_of: impl Fn(usize) -> &'a Scenario,
-    batch: bool,
-) -> Vec<Vec<usize>> {
-    if !batch {
-        return (0..pending.len()).map(|j| vec![j]).collect();
-    }
-    let mut index: std::collections::HashMap<(LinkSpec, Duration), usize> =
-        std::collections::HashMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for j in 0..pending.len() {
-        let cell = cell_of(j);
-        let key = (cell.link, cell.duration);
-        let g = *index.entry(key).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push(j);
-    }
-    groups
-}
-
-/// Per-worker arena recycled across the cells of a batch: buffers whose
-/// capacity is worth keeping warm between simulations. Contents never
-/// carry over — each cell clears before use — so recycling is invisible
-/// to results.
-#[derive(Default)]
-pub struct CellScratch {
-    /// The event-loop packet buffer ([`Simulation::into_scratch`]).
-    packets: Vec<sprout_sim::Packet>,
 }
 
 /// How many synthesized traces one sweep's memo keeps live at once.
@@ -955,14 +853,7 @@ fn measured_trace(fingerprint: u64, duration: Duration) -> Trace {
 /// Execute one cell. Public so single-cell callers (benches, `run_scheme`)
 /// share the exact code path of full sweeps.
 pub fn execute_scenario(matrix: &str, scenario: &Scenario, master_seed: u64) -> SweepResult {
-    let memo = TraceMemo::new(master_seed);
-    execute_with_memo(
-        matrix,
-        scenario,
-        master_seed,
-        &memo,
-        &mut CellScratch::default(),
-    )
+    execute_with_memo(matrix, scenario, master_seed, &TraceMemo::new(master_seed))
 }
 
 fn execute_with_memo(
@@ -970,7 +861,6 @@ fn execute_with_memo(
     scenario: &Scenario,
     master_seed: u64,
     memo: &TraceMemo,
-    scratch: &mut CellScratch,
 ) -> SweepResult {
     let started = std::time::Instant::now();
     let cell_seed = derive_labeled_seed(master_seed, "cell", scenario.id);
@@ -1033,23 +923,13 @@ fn execute_with_memo(
         ..RunConfig::new(data_trace, feedback_trace)
     };
 
-    let outcome = run_cell_scratch(
+    let outcome = run_cell(
         &scenario.workload,
         &rc,
         queue,
         scenario.series_bin,
         scenario.cell_series_bin,
-        scratch,
     );
-    // Diagnostic knob for perf work: per-cell wall times on stderr
-    // (canonical stdout/JSON are untouched).
-    if std::env::var_os("SPROUT_CELL_TIMES").is_some() {
-        eprintln!(
-            "CELLTIME {} {:.1}",
-            scenario.label,
-            started.elapsed().as_secs_f64() * 1e3
-        );
-    }
     SweepResult {
         scenario: scenario.clone(),
         matrix: matrix.to_string(),
@@ -1307,45 +1187,9 @@ pub fn run_cell(
     series_bin: Option<Duration>,
     cell_series_bin: Option<Duration>,
 ) -> CellOutcome {
-    run_cell_scratch(
-        workload,
-        rc,
-        queue,
-        series_bin,
-        cell_series_bin,
-        &mut CellScratch::default(),
-    )
-}
-
-/// [`run_cell`] with a caller-provided scratch arena: the simulation's
-/// recycled buffers are taken from (and returned to) `scratch`, so a
-/// batch of cells run back-to-back reuses one set of allocations.
-pub fn run_cell_scratch(
-    workload: &Workload,
-    rc: &RunConfig,
-    queue: ResolvedQueue,
-    series_bin: Option<Duration>,
-    cell_series_bin: Option<Duration>,
-    scratch: &mut CellScratch,
-) -> CellOutcome {
     let from = Timestamp::ZERO + rc.warmup;
     let end = Timestamp::ZERO + rc.duration;
     let (data_path, feedback_path) = path_configs(rc, queue);
-
-    // Every workload arm builds its simulation from the arena's recycled
-    // buffers and returns them on the way out.
-    fn new_sim<A: Endpoint, B: Endpoint>(
-        a: A,
-        b: B,
-        ab: PathConfig,
-        ba: PathConfig,
-        scratch: &mut CellScratch,
-    ) -> Simulation<A, B> {
-        Simulation::with_scratch(a, b, ab, ba, std::mem::take(&mut scratch.packets))
-    }
-    fn reclaim<A: Endpoint, B: Endpoint>(sim: Simulation<A, B>, scratch: &mut CellScratch) {
-        scratch.packets = sim.into_scratch();
-    }
 
     match workload {
         Workload::InterarrivalProbe => {
@@ -1353,7 +1197,7 @@ pub fn run_cell_scratch(
         }
         Workload::Scheme(scheme) => {
             let (a, b) = build_endpoints(*scheme, rc);
-            let mut sim = new_sim(a, b, data_path, feedback_path, scratch);
+            let mut sim = Simulation::new(a, b, data_path, feedback_path);
             sim.run_until(end);
             let stats = direction_stats(sim.ab_path(), from, end);
             let series = series_bin
@@ -1361,14 +1205,12 @@ pub fn run_cell_scratch(
                 .unwrap_or_default();
             let cell_series = cell_series_bin
                 .map(|bin| collect_cell_series(sim.ab_metrics(), &rc.data_trace, bin, from, end));
-            let outcome = CellOutcome {
+            CellOutcome {
                 metrics: Some(SchemeResult::from_stats(&stats)),
                 series,
                 cell_series,
                 ..CellOutcome::default()
-            };
-            reclaim(sim, scratch);
-            outcome
+            }
         }
         Workload::App { app, over } => {
             assert!(
@@ -1395,16 +1237,14 @@ pub fn run_cell_scratch(
                 );
                 let mut host_b = tunnel(rc);
                 host_b.add_client(INTERACTIVE_FLOW, Box::new(VideoAppReceiver::new()));
-                let mut sim = new_sim(host_a, host_b, data_path, feedback_path, scratch);
+                let mut sim = Simulation::new(host_a, host_b, data_path, feedback_path);
                 sim.run_until(end);
                 let stats = direction_stats(sim.ab_path(), from, end);
-                let outcome = CellOutcome {
+                CellOutcome {
                     metrics: Some(SchemeResult::from_stats(&stats)),
                     flows: flow_summaries(&[INTERACTIVE_FLOW], sim.b.deliveries(), from, end),
                     ..CellOutcome::default()
-                };
-                reclaim(sim, scratch);
-                outcome
+                }
             } else {
                 // Over any other transport the app's open-loop flow
                 // shares the carrier queue with a bulk flow of that
@@ -1419,10 +1259,10 @@ pub fn run_cell_scratch(
                 let mut b = MuxEndpoint::new();
                 b.add(BULK_FLOW, bulk_b);
                 b.add(INTERACTIVE_FLOW, Box::new(VideoAppReceiver::new()));
-                let mut sim = new_sim(a, b, data_path, feedback_path, scratch);
+                let mut sim = Simulation::new(a, b, data_path, feedback_path);
                 sim.run_until(end);
                 let stats = direction_stats(sim.ab_path(), from, end);
-                let outcome = CellOutcome {
+                CellOutcome {
                     metrics: Some(SchemeResult::from_stats(&stats)),
                     flows: flow_summaries(
                         &[BULK_FLOW, INTERACTIVE_FLOW],
@@ -1431,9 +1271,7 @@ pub fn run_cell_scratch(
                         end,
                     ),
                     ..CellOutcome::default()
-                };
-                reclaim(sim, scratch);
-                outcome
+                }
             }
         }
         Workload::Contention { flows } => {
@@ -1452,19 +1290,17 @@ pub fn run_cell_scratch(
                 b.add(flow, child_b);
                 ids.push(flow);
             }
-            let mut sim = new_sim(a, b, data_path, feedback_path, scratch);
+            let mut sim = Simulation::new(a, b, data_path, feedback_path);
             sim.run_until(end);
             let stats = direction_stats(sim.ab_path(), from, end);
             let flow_rows = flow_summaries(&ids, sim.ab_metrics(), from, end);
             let throughputs: Vec<f64> = flow_rows.iter().map(|f| f.throughput_kbps).collect();
-            let outcome = CellOutcome {
+            CellOutcome {
                 metrics: Some(SchemeResult::from_stats(&stats)),
                 fairness: jain_fairness_index(&throughputs),
                 flows: flow_rows,
                 ..CellOutcome::default()
-            };
-            reclaim(sim, scratch);
-            outcome
+            }
         }
         Workload::Serve { sessions } => {
             // N independent Sprout sessions, each with its own path pair
@@ -1481,7 +1317,7 @@ pub fn run_cell_scratch(
             for i in 0..n {
                 server.add_session(i + 1);
             }
-            let mut sim = ServeSim::with_scratch(server, std::mem::take(&mut scratch.packets));
+            let mut sim = ServeSim::new(server);
             for i in 0..n {
                 let sid = i + 1;
                 let s_seed = session_seed(rc.serve_seed, sid);
@@ -1521,13 +1357,11 @@ pub fn run_cell_scratch(
                 max_session_bytes: window_bytes.iter().copied().max().unwrap_or(0),
                 wire_delivered_bytes: sim.delivered_to_server_bytes(),
             };
-            let outcome = CellOutcome {
+            CellOutcome {
                 fairness: jain_fairness_index(&throughputs),
                 serve: Some(serve),
                 ..CellOutcome::default()
-            };
-            scratch.packets = sim.into_scratch();
-            outcome
+            }
         }
         Workload::MuxDirect => {
             let mut a = MuxEndpoint::new();
@@ -1538,16 +1372,14 @@ pub fn run_cell_scratch(
             for (flow, ep) in mux_clients_b() {
                 b.add(flow, ep);
             }
-            let mut sim = new_sim(a, b, data_path, feedback_path, scratch);
+            let mut sim = Simulation::new(a, b, data_path, feedback_path);
             sim.run_until(end);
             let stats = direction_stats(sim.ab_path(), from, end);
-            let outcome = CellOutcome {
+            CellOutcome {
                 metrics: Some(SchemeResult::from_stats(&stats)),
                 flows: flow_summaries(&[BULK_FLOW, INTERACTIVE_FLOW], sim.ab_metrics(), from, end),
                 ..CellOutcome::default()
-            };
-            reclaim(sim, scratch);
-            outcome
+            }
         }
         Workload::MuxTunneled => {
             let mut host_a =
@@ -1560,13 +1392,13 @@ pub fn run_cell_scratch(
             for (flow, ep) in mux_clients_b() {
                 host_b.add_client(flow, ep);
             }
-            let mut sim = new_sim(host_a, host_b, data_path, feedback_path, scratch);
+            let mut sim = Simulation::new(host_a, host_b, data_path, feedback_path);
             sim.run_until(end);
             let stats = direction_stats(sim.ab_path(), from, end);
             // Flow metrics come from the far host's post-decapsulation
             // delivery log: the tunnel's own wire packets are what the
             // path sees, the clients' packets are what it delivers.
-            let outcome = CellOutcome {
+            CellOutcome {
                 metrics: Some(SchemeResult::from_stats(&stats)),
                 flows: flow_summaries(
                     &[BULK_FLOW, INTERACTIVE_FLOW],
@@ -1575,9 +1407,7 @@ pub fn run_cell_scratch(
                     end,
                 ),
                 ..CellOutcome::default()
-            };
-            reclaim(sim, scratch);
-            outcome
+            }
         }
     }
 }

@@ -63,5 +63,5 @@ pub use lru::LruCache;
 pub use model::{RateModel, ScatterMatrix, TransitionKernel};
 pub use receiver::{IntervalSet, SproutReceiver};
 pub use sender::SproutSender;
-pub use session::{SessionPool, SessionRef};
+pub use session::SessionPool;
 pub use wire::{SproutHeader, WireError, WireForecast};

@@ -8,14 +8,15 @@
 //! prove the sharing — one `built`, N−1 `reused` per link group), while
 //! each session owns only what actually differs per user: its
 //! [`SproutEndpoint`] state machine (whose forecaster carries its own
-//! `ForecastScratch`), its RNG sub-stream seed derived from
-//! `(cell_seed, session_id)` via [`sprout_trace::session_seed`], and its
-//! [`EndpointStats`].
+//! `ForecastScratch`) and its [`EndpointStats`]. Session identity is
+//! `(cell_seed, session_id)`; per-session RNG sub-streams derive from it
+//! via [`sprout_trace::session_seed`] where the paths are built, outside
+//! the pool.
 //!
-//! The pool is laid out struct-of-arrays: parallel `ids` / `seeds` /
-//! `endpoints` columns indexed by a dense session index, so the server's
-//! event loop iterates hot columns (wakeups, stats) without striding over
-//! cold protocol state.
+//! The pool is laid out struct-of-arrays: parallel `ids` / `endpoints`
+//! columns indexed by a dense session index, so the server's event loop
+//! iterates hot columns (wakeups, stats) without striding over cold
+//! protocol state.
 //!
 //! [`table_memory_counters`]: crate::forecast::table_memory_counters
 
@@ -27,19 +28,6 @@ use crate::endpoint::{EndpointStats, SproutEndpoint};
 use crate::forecast::ForecastTables;
 use crate::forecaster::BayesianForecaster;
 use sprout_sim::FlowId;
-use sprout_trace::session_seed;
-
-/// The per-session state of one Sprout session inside a pool, borrowed by
-/// dense index. Everything here is *per user*; everything shared lives
-/// once on the [`SessionPool`].
-pub struct SessionRef<'a> {
-    /// The wire-visible session id (also the packet [`FlowId`]).
-    pub id: u32,
-    /// This session's RNG sub-stream seed, `session_seed(cell_seed, id)`.
-    pub seed: u64,
-    /// The session's protocol state machine.
-    pub endpoint: &'a mut SproutEndpoint,
-}
 
 /// A struct-of-arrays pool of independent Sprout sessions sharing one
 /// forecast-table build.
@@ -58,8 +46,6 @@ pub struct SessionPool {
     tables: Option<Arc<ForecastTables>>,
     /// SoA column: wire-visible session ids, by dense index.
     ids: Vec<u32>,
-    /// SoA column: per-session RNG sub-stream seeds, by dense index.
-    seeds: Vec<u64>,
     /// SoA column: per-session protocol state machines, by dense index.
     endpoints: Vec<SproutEndpoint>,
     /// Demux map: session id → dense index.
@@ -76,7 +62,6 @@ impl SessionPool {
             cell_seed,
             tables: None,
             ids: Vec::new(),
-            seeds: Vec::new(),
             endpoints: Vec::new(),
             index: HashMap::new(),
         }
@@ -110,7 +95,6 @@ impl SessionPool {
         let mut endpoint = SproutEndpoint::with_forecaster(self.cfg.clone(), Box::new(forecaster));
         endpoint.set_flow(FlowId(session_id));
         self.ids.push(session_id);
-        self.seeds.push(session_seed(self.cell_seed, session_id));
         self.endpoints.push(endpoint);
         idx
     }
@@ -125,11 +109,6 @@ impl SessionPool {
         self.ids.is_empty()
     }
 
-    /// The cell seed all session sub-streams derive from.
-    pub fn cell_seed(&self) -> u64 {
-        self.cell_seed
-    }
-
     /// The shared table handle (`None` until the first session is added).
     pub fn tables(&self) -> Option<&Arc<ForecastTables>> {
         self.tables.as_ref()
@@ -140,28 +119,9 @@ impl SessionPool {
         self.index.get(&session_id).copied()
     }
 
-    /// The wire-visible session id at dense index `idx`.
-    pub fn session_id(&self, idx: usize) -> u32 {
-        self.ids[idx]
-    }
-
-    /// The RNG sub-stream seed of the session at dense index `idx`.
-    pub fn session_seed(&self, idx: usize) -> u64 {
-        self.seeds[idx]
-    }
-
     /// Mutable access to the session endpoint at dense index `idx`.
     pub fn endpoint_mut(&mut self, idx: usize) -> &mut SproutEndpoint {
         &mut self.endpoints[idx]
-    }
-
-    /// Borrow session `idx` as one logical record across the SoA columns.
-    pub fn session_mut(&mut self, idx: usize) -> SessionRef<'_> {
-        SessionRef {
-            id: self.ids[idx],
-            seed: self.seeds[idx],
-            endpoint: &mut self.endpoints[idx],
-        }
     }
 
     /// Endpoint counters of the session at dense index `idx`.
@@ -197,11 +157,9 @@ mod tests {
         let mut pool = SessionPool::new(SproutConfig::test_small(), 7);
         pool.add_session(3);
         pool.add_session(11);
+        assert_eq!(pool.index_of(3), Some(0));
         assert_eq!(pool.index_of(11), Some(1));
         assert_eq!(pool.index_of(4), None);
-        assert_eq!(pool.session_id(1), 11);
-        assert_eq!(pool.session_seed(1), sprout_trace::session_seed(7, 11));
-        assert_eq!(pool.session_mut(0).id, 3);
     }
 
     #[test]

@@ -111,14 +111,6 @@ impl MuxEndpoint {
     pub fn add(&mut self, flow: crate::packet::FlowId, child: Box<dyn Endpoint>) {
         self.children.push((flow, child));
     }
-
-    /// Borrow a child endpoint by flow.
-    pub fn child(&self, flow: crate::packet::FlowId) -> Option<&dyn Endpoint> {
-        self.children
-            .iter()
-            .find(|(f, _)| *f == flow)
-            .map(|(_, c)| &**c)
-    }
 }
 
 impl Default for MuxEndpoint {

@@ -28,37 +28,14 @@ pub struct Simulation<A: Endpoint, B: Endpoint> {
 impl<A: Endpoint, B: Endpoint> Simulation<A, B> {
     /// Assemble a simulation. `ab` is the path carrying a→b traffic.
     pub fn new(a: A, b: B, ab: PathConfig, ba: PathConfig) -> Self {
-        Simulation::with_scratch(a, b, ab, ba, Vec::new())
-    }
-
-    /// [`Simulation::new`], seeding the event loop's packet buffer with
-    /// `scratch` instead of a fresh `Vec`. Batch executors that run many
-    /// simulations back-to-back pass the previous run's buffer (via
-    /// [`Simulation::into_scratch`]) so its capacity survives across
-    /// cells. The buffer's contents are irrelevant — it is cleared before
-    /// first use — so recycling cannot affect results.
-    pub fn with_scratch(
-        a: A,
-        b: B,
-        ab: PathConfig,
-        ba: PathConfig,
-        mut scratch: Vec<crate::packet::Packet>,
-    ) -> Self {
-        scratch.clear();
         Simulation {
             a,
             b,
             ab: DirectedPath::new(ab),
             ba: DirectedPath::new(ba),
             now: Timestamp::ZERO,
-            scratch,
+            scratch: Vec::new(),
         }
-    }
-
-    /// Tear down the simulation, recovering the event-loop packet buffer
-    /// for the next [`Simulation::with_scratch`].
-    pub fn into_scratch(self) -> Vec<crate::packet::Packet> {
-        self.scratch
     }
 
     /// Current virtual time.

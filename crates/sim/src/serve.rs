@@ -54,15 +54,6 @@ pub struct ServeSim<C: Endpoint, S: Endpoint> {
 impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
     /// Empty loop around `server`; add sessions before running.
     pub fn new(server: S) -> Self {
-        ServeSim::with_scratch(server, Vec::new())
-    }
-
-    /// [`ServeSim::new`], seeding the event-loop packet buffer with
-    /// `scratch` (recovered via [`ServeSim::into_scratch`]) so batch
-    /// executors keep one allocation across cells. Contents are cleared
-    /// before first use, so recycling cannot affect results.
-    pub fn with_scratch(server: S, mut scratch: Vec<Packet>) -> Self {
-        scratch.clear();
         ServeSim {
             clients: Vec::new(),
             flows: Vec::new(),
@@ -77,14 +68,9 @@ impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
             pending_queue: Vec::new(),
             server_pending: false,
             now: Timestamp::ZERO,
-            scratch,
+            scratch: Vec::new(),
             delivered_to_server: 0,
         }
-    }
-
-    /// Tear down, recovering the packet buffer for the next cell.
-    pub fn into_scratch(self) -> Vec<Packet> {
-        self.scratch
     }
 
     /// Attach session `flow`: its client endpoint and its two directed

@@ -8,8 +8,7 @@
 //! process so an impaired cell is exactly as reproducible as a clean one:
 //! the sweep engine derives every seed from the per-cell
 //! `(master_seed, scenario_id)` seed via [`crate::derive_labeled_seed`],
-//! so results are bit-identical across thread counts, shards, and batch
-//! modes.
+//! so results are bit-identical across thread counts and shards.
 //!
 //! The processes live here; the hook points that apply them to a link are
 //! in `sprout-sim`'s `TraceLink` (loss/outage gating at the bottleneck,
